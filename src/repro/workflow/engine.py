@@ -888,7 +888,9 @@ class WorkflowController:
         """Fold a batch's content into the stream's rolling prefix key."""
         if instance.cache_chain is None:
             return None
-        content = fingerprint_value([t.values for t in rows])
+        # Same digest as fingerprint_value([t.values for t in rows]),
+        # folded from each row's cached digest.
+        content = combine("seq", "list", *[t.content_digest() for t in rows])
         previous = instance.cache_keys.get(stream, "")
         key = combine(instance.cache_chain, stream, previous, content)
         instance.cache_keys[stream] = key

@@ -52,6 +52,24 @@ def test_plain_object_sizes_its_fields():
     assert estimate_bytes(Point()) > 16
 
 
+def test_string_slots_name_one_slot():
+    # Regression: a string ``__slots__`` was iterated per character, so
+    # the one real slot was never found and sized.
+    class Named:
+        __slots__ = "payload"
+
+        def __init__(self):
+            self.payload = "x" * 1000
+
+    class Listed:
+        __slots__ = ("payload",)
+
+        def __init__(self):
+            self.payload = "x" * 1000
+
+    assert estimate_bytes(Named()) == estimate_bytes(Listed()) == 16 + 8 + 1016
+
+
 def test_estimate_is_deterministic():
     payload = {"a": [1, 2, 3], "b": ("x", 2.0), "c": {"nested": None}}
     assert estimate_bytes(payload) == estimate_bytes(payload)

@@ -1,7 +1,10 @@
 """Unit tests for Tuple and Table."""
 
+import pickle
+
 import pytest
 
+from repro.cache.fingerprint import combine, fingerprint_value
 from repro.errors import SchemaError, TypeMismatch
 from repro.relational import FieldType, Schema, Table, Tuple, column_greater
 
@@ -57,6 +60,32 @@ def test_tuple_equality_and_hash():
 
 def test_tuple_payload_bytes_positive():
     assert row(1, "abc", 0.5).payload_bytes() > 0
+
+
+def test_tuple_fingerprint_ignores_cached_state():
+    # Regression: rows pickled their slot state, size cache included,
+    # so an equal row fingerprinted differently once it had been sized.
+    cold, warm = row(1, "abc", 0.5), row(1, "abc", 0.5)
+    warm.payload_bytes()
+    warm.content_digest()
+    assert fingerprint_value(warm) == fingerprint_value(cold)
+    assert fingerprint_value([warm]) == fingerprint_value([cold])
+
+
+def test_tuple_pickles_by_content():
+    t = row(1, "abc", 0.5)
+    t.payload_bytes()
+    clone = pickle.loads(pickle.dumps(t))
+    assert clone == t and clone.schema == SCHEMA
+    assert clone.payload_bytes() == t.payload_bytes()
+    assert clone.content_digest() == t.content_digest()
+
+
+def test_tuple_content_digest_is_its_values_in_a_row_list():
+    a, b = row(1, "abc", 0.5), row(2, None, None)
+    assert combine("seq", "list", a.content_digest(), b.content_digest()) == (
+        fingerprint_value([a.values, b.values])
+    )
 
 
 def make_table():
